@@ -69,8 +69,10 @@ pub struct BenchSnapshot {
     /// Heap bytes per event in the packed store (records + ts column,
     /// capacity-based) — the SoA memory headline.
     pub bytes_per_event: Option<f64>,
-    /// 1 − arena grows / arena acquires over the instrumented passes: the
-    /// share of group unpacks served without reallocating.
+    /// 1 − arena grows / arena acquires over one recorded uncached
+    /// `reconstruct_store` pass on one worker: the share of group unpacks
+    /// served without reallocating. `None` when the pass recorded no
+    /// acquires.
     pub arena_reuse_ratio: Option<f64>,
     /// `reconstruct_store` of a prebuilt store and index on one worker
     /// with a fresh cache per run (merge and index untimed).

@@ -55,7 +55,6 @@ pub mod dissemination_model;
 pub mod explain;
 pub mod flow;
 pub mod fsm;
-pub mod incremental;
 pub mod net;
 pub mod schedule;
 pub mod score;
@@ -65,7 +64,6 @@ pub mod trace;
 pub use diagnose::{DiagnosedCause, Diagnoser, Diagnosis};
 pub use explain::{explain, Explanation, TimelineEntry};
 pub use flow::{EventFlow, FlowEntry};
-pub use incremental::IncrementalReconstructor;
 pub use fsm::{FsmBuilder, FsmTemplate, StateId};
 pub use net::{ConnectedNet, EngineId, NetWarning, RunStats};
 pub use sigcache::{CacheStats, SigCache};

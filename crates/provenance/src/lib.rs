@@ -259,8 +259,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// A sharded, thread-safe store of captured [`FlowProvenance`] entries.
-/// Re-recording a packet (the incremental refresher reconstructs dirty
-/// packets again) overwrites its previous entry: the ledger always holds
+/// Re-recording a packet (a reopened stream window is reconstructed again
+/// when it closes) overwrites its previous entry: the ledger always holds
 /// the latest reconstruction's trail.
 #[derive(Debug)]
 pub struct ProvenanceLedger {

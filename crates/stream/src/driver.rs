@@ -8,9 +8,8 @@
 //! windows as it goes. Each blocking receive is followed by a bounded
 //! non-blocking drain of whatever else is already queued
 //! ([`DriverConfig::drain_batches`]), so when ingest runs ahead the
-//! reconstruction side absorbs records in large waves and each poll hands
-//! the incremental refresher enough closed windows to reconstruct in
-//! parallel. The bounded channel is the backpressure spine: when
+//! reconstruction side absorbs records in large waves and each poll
+//! closes enough windows to reconstruct them in parallel. The bounded channel is the backpressure spine: when
 //! reconstruction falls behind, the ingest worker blocks on `send` instead
 //! of buffering without limit. Shutdown is graceful by construction — the
 //! ingest worker drops its sender at EOF (or on a read error), the batch
@@ -39,8 +38,8 @@ pub struct DriverConfig {
     /// After each blocking receive, opportunistically drain up to this many
     /// additional already-queued batches (non-blocking `try_recv`) before
     /// reconstructing. Larger waves feed more closed windows into each
-    /// poll, so the incremental refresh behind it crosses its parallel
-    /// threshold instead of reconstructing windows one or two at a time.
+    /// poll, so its reconstruction crosses the parallel threshold instead
+    /// of reconstructing windows one or two at a time.
     /// 0 disables the drain; report emission is unaffected either way
     /// because polling is driven by the absorbed-record count, not by
     /// batch boundaries.

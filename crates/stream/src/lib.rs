@@ -9,8 +9,9 @@
 //!    joins, counting each maximal corrupt run once.
 //! 2. **[`StreamReconstructor`]**: bounded per-node lanes (a full lane
 //!    refuses records — that refusal is the backpressure signal), per-node
-//!    low-watermarks over the nodes' *own* clocks, packet windows that
-//!    close when every contributing node has moved past its last
+//!    low-watermarks over the nodes' *own* clocks, one window per packet
+//!    (its packed events and last report) that closes — and is
+//!    reconstructed — when every contributing node has moved past its last
 //!    contribution, and convergent late handling: a record for a closed
 //!    window reopens it, so the final reports always equal the batch
 //!    answer over everything ingested.

@@ -1,9 +1,9 @@
 //! The streaming core: bounded per-node lanes, watermark windowing, and
-//! convergent late handling around an [`IncrementalReconstructor`].
+//! convergent late handling, with one window per packet.
 //!
 //! Records enter through [`StreamReconstructor::offer`] (refused — not
 //! dropped — when the node's lane is full: that refusal *is* the
-//! backpressure signal), move into the reconstruction state on
+//! backpressure signal), move into their packets' windows on
 //! [`StreamReconstructor::pump`], and come out as [`PacketReport`]s when
 //! [`StreamReconstructor::poll`] decides their windows have closed.
 //!
@@ -20,14 +20,21 @@
 //! so after [`StreamReconstructor::finish`] the reports are identical to a
 //! batch reconstruction of everything ingested, however the stream was
 //! interleaved or chunked.
+//!
+//! A packet's flow depends only on that packet's own events, so an open
+//! window is exactly "this packet has evidence newer than its report":
+//! every absorbed record lands in an open window or reopens a closed one.
+//! `poll` therefore reconstructs exactly the windows it closes, and
+//! `finish` exactly the windows still open.
 
+use eventlog::columnar::PackedEvent;
 use eventlog::frame::NodeRecord;
 use eventlog::watermark::{Lateness, Mark, WatermarkTracker};
-use eventlog::PacketId;
+use eventlog::{available_workers, par_map, Event, PacketId};
 use netsim::fx::FxHashMap;
 use netsim::NodeId;
 use refill::telemetry::{Counter, Hist, Recorder, Stage, StageTimer};
-use refill::{IncrementalReconstructor, PacketReport, Reconstructor};
+use refill::{PacketReport, Reconstructor, SigCache};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -66,30 +73,41 @@ pub struct StreamStats {
     pub backpressure: u64,
 }
 
-/// One packet's open/closed window.
+/// One packet's window: its evidence, its last report, and whether it is
+/// waiting for more.
 #[derive(Debug, Default)]
-struct WindowState {
+struct Window {
     /// Each contributing node's mark at its *last* contribution; the close
     /// rule compares only a node's own marks, never across nodes.
     contributors: FxHashMap<NodeId, Mark>,
-    /// Events absorbed into this window (over its whole life, reopens
-    /// included).
-    events: u64,
+    /// Every event absorbed over the window's whole life (reopens
+    /// included), in arrival order — per-node subsequences stay in
+    /// recording order because lanes are pumped front to back. Held packed
+    /// (16 bytes each): a long-running stream keeps every packet's history
+    /// resident, and groups are unpacked only to be reconstructed.
+    events: Vec<PackedEvent>,
+    /// The report from the window's last close; `None` until it first
+    /// closes.
+    report: Option<PacketReport>,
     closed: bool,
 }
 
 /// Online reconstruction over a stream of per-node log records.
 pub struct StreamReconstructor {
     config: StreamConfig,
+    /// Always carries a signature cache, shared across closes: steady-state
+    /// traffic keeps producing the same happy-path shapes, so later closes
+    /// run mostly on cache hits.
+    recon: Reconstructor,
     recorder: Arc<dyn Recorder>,
     /// Bounded ingest queues, one per node; `BTreeMap` so pumping visits
     /// lanes in a deterministic node order.
     lanes: BTreeMap<NodeId, VecDeque<NodeRecord>>,
     queued: usize,
     tracker: WatermarkTracker,
-    /// Per-packet windows, in packet-id order for deterministic sweeps.
-    windows: BTreeMap<PacketId, WindowState>,
-    inc: IncrementalReconstructor,
+    /// Per-packet windows, in packet-id order for deterministic sweeps and
+    /// report iteration.
+    windows: BTreeMap<PacketId, Window>,
     stats: StreamStats,
 }
 
@@ -100,17 +118,30 @@ impl StreamReconstructor {
         StreamReconstructor::with_config(recon, StreamConfig::default())
     }
 
-    /// Wrap with explicit stream settings.
+    /// Wrap with explicit stream settings. The reconstructor's cache, if
+    /// one is attached, is used as is; otherwise a default-capacity cache
+    /// is attached, wired to the reconstructor's recorder when that one is
+    /// enabled so cache counters join the pipeline-wide snapshot.
     pub fn with_config(recon: Reconstructor, config: StreamConfig) -> Self {
         let recorder = Arc::clone(recon.recorder());
+        let recon = if recon.cache().is_some() {
+            recon
+        } else {
+            let cache = if recorder.enabled() {
+                SigCache::default().with_recorder(Arc::clone(&recorder))
+            } else {
+                SigCache::default()
+            };
+            recon.with_cache(Arc::new(cache))
+        };
         StreamReconstructor {
             config,
+            recon,
             recorder,
             lanes: BTreeMap::new(),
             queued: 0,
             tracker: WatermarkTracker::new(),
             windows: BTreeMap::new(),
-            inc: IncrementalReconstructor::new(recon),
             stats: StreamStats::default(),
         }
     }
@@ -162,9 +193,9 @@ impl StreamReconstructor {
         }
     }
 
-    /// Drain every lane into the reconstruction state (lanes in node order,
-    /// each lane front to back, so per-node order is preserved). Returns
-    /// the number of records absorbed.
+    /// Drain every lane into the packet windows (lanes in node order, each
+    /// lane front to back, so per-node order is preserved). Returns the
+    /// number of records absorbed.
     pub fn pump(&mut self) -> usize {
         let mut drained: Vec<NodeRecord> = Vec::with_capacity(self.queued);
         for lane in self.lanes.values_mut() {
@@ -178,27 +209,22 @@ impl StreamReconstructor {
         n
     }
 
-    /// Absorb one record: advance its node's watermark, grow (or reopen)
-    /// its packet's window, and hand the event to the incremental core.
+    /// Absorb one record: advance its node's watermark and append the
+    /// event to its packet's window, reopening the window if it had closed.
     fn absorb(&mut self, rec: NodeRecord) {
         self.stats.records += 1;
         self.recorder.add(Counter::StreamRecords, 1);
         let mark = self.tracker.advance(rec.node, rec.entry.local_ts);
-        let packet = rec.entry.event.packet;
-        let window = self.windows.entry(packet).or_default();
+        let window = self.windows.entry(rec.entry.event.packet).or_default();
         if window.closed {
             window.closed = false;
             self.stats.windows_reopened += 1;
             self.stats.late_events += 1;
             self.recorder.add(Counter::WindowsReopened, 1);
             self.recorder.add(Counter::StreamLateEvents, 1);
-            // Force the redo even if the refresh filter would have seen no
-            // change (belt and braces: ingest below also dirties it).
-            self.inc.mark_dirty(packet);
         }
         window.contributors.insert(rec.node, mark);
-        window.events += 1;
-        self.inc.ingest_events([rec.entry.event]);
+        window.events.push(PackedEvent::pack(&rec.entry.event));
     }
 
     /// Sweep open windows, close the ones every contributor has moved past,
@@ -219,7 +245,8 @@ impl StreamReconstructor {
             if all_passed {
                 window.closed = true;
                 closing.push(*id);
-                self.recorder.observe(Hist::WindowEvents, window.events);
+                self.recorder
+                    .observe(Hist::WindowEvents, window.events.len() as u64);
             }
         }
         if closing.is_empty() {
@@ -227,51 +254,91 @@ impl StreamReconstructor {
         }
         self.stats.windows_closed += closing.len() as u64;
         self.recorder.add(Counter::WindowsClosed, closing.len() as u64);
-        self.inc.refresh_packets(closing.iter().copied());
+        reconstruct_windows(&self.recon, &mut self.windows, &closing);
         closing
             .iter()
-            .filter_map(|id| self.inc.report(*id).cloned())
+            .filter_map(|id| self.report(*id).cloned())
             .collect()
     }
 
-    /// End of stream: pump what is queued, close every open window, refresh
-    /// everything still dirty, and return the full converged report set (in
-    /// packet-id order) — identical to a batch reconstruction of every
-    /// record ever ingested.
+    /// End of stream: pump what is queued, close and reconstruct every
+    /// open window, and return the full converged report set (in packet-id
+    /// order) — identical to a batch reconstruction of every record ever
+    /// ingested.
     pub fn finish(&mut self) -> Vec<PacketReport> {
         self.pump();
+        let mut closing: Vec<PacketId> = Vec::new();
         {
             let _span = StageTimer::start(&*self.recorder, Stage::Window);
-            let mut closed_now = 0u64;
-            for window in self.windows.values_mut() {
+            for (id, window) in self.windows.iter_mut() {
                 if !window.closed {
                     window.closed = true;
-                    closed_now += 1;
-                    self.recorder.observe(Hist::WindowEvents, window.events);
+                    closing.push(*id);
+                    self.recorder
+                        .observe(Hist::WindowEvents, window.events.len() as u64);
                 }
             }
-            self.stats.windows_closed += closed_now;
-            self.recorder.add(Counter::WindowsClosed, closed_now);
+            self.stats.windows_closed += closing.len() as u64;
+            self.recorder.add(Counter::WindowsClosed, closing.len() as u64);
         }
-        self.inc.refresh();
+        reconstruct_windows(&self.recon, &mut self.windows, &closing);
         self.reports()
     }
 
-    /// The current report for one packet (as of its last reconstruction).
+    /// The current report for one packet (as of its window's last close).
     pub fn report(&self, id: PacketId) -> Option<&PacketReport> {
-        self.inc.report(id)
+        self.windows.get(&id).and_then(|w| w.report.as_ref())
     }
 
     /// Heap bytes held by the packed per-packet event state — the memory
     /// a long-running stream actually retains between polls (16 bytes per
     /// event, plus unamortized vector capacity).
     pub fn packed_event_bytes(&self) -> usize {
-        self.inc.packed_bytes()
+        self.windows
+            .values()
+            .map(|w| w.events.capacity() * std::mem::size_of::<PackedEvent>())
+            .sum()
     }
 
     /// Every current report, cloned, in packet-id order.
     pub fn reports(&self) -> Vec<PacketReport> {
-        self.inc.reports().into_iter().cloned().collect()
+        self.windows
+            .values()
+            .filter_map(|w| w.report.clone())
+            .collect()
+    }
+}
+
+/// Reconstruct the windows of `ids` (sorted, every one present) from their
+/// events and store each report in its window — on every worker when the
+/// batch is big enough to pay for spawning them, on the calling thread
+/// otherwise. The sequential path matters under streaming: a poll
+/// typically closes only a handful of windows, and spawning workers
+/// per-handful costs more than the reconstructions themselves. Output is
+/// identical either way ([`par_map`] preserves order).
+fn reconstruct_windows(
+    recon: &Reconstructor,
+    windows: &mut BTreeMap<PacketId, Window>,
+    ids: &[PacketId],
+) {
+    /// Batches below this size reconstruct on the calling thread.
+    const PAR_MIN_IDS: usize = 8;
+    let workers = if ids.len() < PAR_MIN_IDS {
+        1
+    } else {
+        available_workers()
+    };
+    let shared = &*windows;
+    // Unpack each group into a reused scratch buffer, one per worker.
+    let reports = par_map(ids, workers, Vec::new, |scratch: &mut Vec<Event>, id| {
+        scratch.clear();
+        scratch.extend(shared[id].events.iter().map(PackedEvent::unpack));
+        recon.reconstruct_packet(*id, scratch)
+    });
+    for (id, report) in ids.iter().zip(reports) {
+        if let Some(window) = windows.get_mut(id) {
+            window.report = Some(report);
+        }
     }
 }
 
@@ -309,6 +376,18 @@ mod tests {
             rec(1, EventKind::Trans { to: n(2) }, p, ts),
             rec(2, EventKind::Recv { from: n(1) }, p, ts),
         ]
+    }
+
+    /// Record-quota lateness of one: a window closes as soon as each of
+    /// its contributors logs one more record.
+    fn quota_one() -> StreamConfig {
+        StreamConfig {
+            lane_capacity: 64,
+            lateness: Lateness {
+                records: 1,
+                micros: u64::MAX,
+            },
+        }
     }
 
     #[test]
@@ -351,14 +430,7 @@ mod tests {
 
     #[test]
     fn windows_close_by_record_quota() {
-        let config = StreamConfig {
-            lane_capacity: 64,
-            lateness: Lateness {
-                records: 1,
-                micros: u64::MAX,
-            },
-        };
-        let mut stream = StreamReconstructor::with_config(recon(), config);
+        let mut stream = StreamReconstructor::with_config(recon(), quota_one());
         let p0 = PacketId::new(n(1), 0);
         stream.ingest(rec(1, EventKind::Trans { to: n(2) }, p0, None));
         stream.pump();
@@ -403,14 +475,7 @@ mod tests {
 
     #[test]
     fn late_arrivals_reopen_and_converge() {
-        let config = StreamConfig {
-            lane_capacity: 64,
-            lateness: Lateness {
-                records: 1,
-                micros: u64::MAX,
-            },
-        };
-        let mut stream = StreamReconstructor::with_config(recon(), config);
+        let mut stream = StreamReconstructor::with_config(recon(), quota_one());
         let p = PacketId::new(n(1), 0);
         stream.ingest(rec(1, EventKind::Trans { to: n(2) }, p, None));
         // Push node 1 past p's window and close it early.
@@ -480,7 +545,12 @@ mod tests {
         stream.ingest(rec(1, EventKind::Trans { to: n(2) }, PacketId::new(n(1), 1), None));
         stream.pump();
         stream.poll();
-        stream.ingest(rec(2, EventKind::Recv { from: n(1) }, p, None));
+        // A late retransmission of p reopens its window and moves node 1
+        // past the filler, whose window then closes for good before the
+        // final flush (which must not reconstruct it again).
+        stream.ingest(rec(1, EventKind::Trans { to: n(2) }, p, None));
+        stream.pump();
+        stream.poll();
         stream.finish();
 
         let snap = recorder.snapshot();
@@ -489,6 +559,11 @@ mod tests {
         assert_eq!(snap.counter("windows_closed"), 3, "p twice, the filler once");
         assert_eq!(snap.counter("windows_reopened"), 1);
         assert_eq!(snap.counter("stream_late_events"), 1);
+        assert_eq!(
+            snap.counter("packets_reconstructed"),
+            snap.counter("windows_closed"),
+            "each close reconstructs its window exactly once"
+        );
         assert!(snap.histogram("stream_queue_depth").is_some());
         assert!(snap.histogram("window_events").is_some());
         assert!(snap.stage("window").is_some());
@@ -496,14 +571,7 @@ mod tests {
 
     #[test]
     fn poll_emits_in_packet_id_order() {
-        let config = StreamConfig {
-            lane_capacity: 64,
-            lateness: Lateness {
-                records: 1,
-                micros: u64::MAX,
-            },
-        };
-        let mut stream = StreamReconstructor::with_config(recon(), config);
+        let mut stream = StreamReconstructor::with_config(recon(), quota_one());
         // Ingest three packets in reverse order, then advance the node far
         // enough that all three close in one sweep.
         for seq in [5u32, 3, 1] {
@@ -514,5 +582,64 @@ mod tests {
         let out = stream.poll();
         let seqs: Vec<u32> = out.iter().map(|r| r.packet.seqno).collect();
         assert_eq!(seqs, vec![1, 3, 5], "sweep order is packet-id order");
+        let all: Vec<u32> = stream.finish().iter().map(|r| r.packet.seqno).collect();
+        assert_eq!(all, vec![1, 3, 5, 7], "finish() is in packet-id order too");
+    }
+
+    #[test]
+    fn cache_warms_up_across_polls() {
+        let mut stream = StreamReconstructor::with_config(recon(), quota_one());
+        let stats = |s: &StreamReconstructor| {
+            s.recon.cache().expect("the stream always carries a cache").stats()
+        };
+        // Packet 1's records move both nodes past packet 0, closing it.
+        for seq in 0..2 {
+            for r in hop_records(seq, None) {
+                stream.ingest(r);
+            }
+        }
+        stream.pump();
+        assert_eq!(stream.poll().len(), 1);
+        let warm = stats(&stream);
+        assert_eq!(warm.misses, 1);
+        assert_eq!(warm.inserts, 1);
+
+        // Two more packets close 1 and 2, both the shape already published.
+        for seq in 2..4 {
+            for r in hop_records(seq, None) {
+                stream.ingest(r);
+            }
+        }
+        stream.pump();
+        assert_eq!(stream.poll().len(), 2);
+        let later = stats(&stream);
+        assert_eq!(later.hits, warm.hits + 2, "later polls reuse the template");
+        assert_eq!(later.inserts, warm.inserts, "no new shapes published");
+    }
+
+    #[test]
+    fn flows_grow_as_late_evidence_arrives() {
+        let mut stream = StreamReconstructor::with_config(recon(), quota_one());
+        let p = PacketId::new(n(1), 0);
+        stream.ingest(rec(1, EventKind::Trans { to: n(2) }, p, None));
+        stream.ingest(rec(1, EventKind::Trans { to: n(2) }, PacketId::new(n(1), 9), None));
+        stream.pump();
+        let early = stream.poll();
+        assert_eq!(early.len(), 1);
+        assert_eq!(early[0].flow.to_string(), "1-2 trans");
+
+        // Node 3's evidence reopens the window; once node 3 moves on, the
+        // next poll re-emits the grown flow.
+        stream.ingest(rec(3, EventKind::Recv { from: n(2) }, p, None));
+        stream.ingest(rec(3, EventKind::Recv { from: n(2) }, PacketId::new(n(1), 8), None));
+        stream.pump();
+        let later = stream.poll();
+        assert_eq!(later.len(), 1);
+        assert_eq!(later[0].packet, p);
+        assert_eq!(
+            later[0].flow.to_string(),
+            "1-2 trans, [1-2 recv], [2-3 trans], 2-3 recv"
+        );
+        assert_eq!(stream.report(p), Some(&later[0]));
     }
 }

@@ -74,11 +74,6 @@ pub enum Counter {
     MergePartitions,
     /// Packet groups produced by `PacketIndex` builds.
     IndexedPackets,
-    /// Dirty packets actually re-reconstructed by an incremental refresh.
-    IncrementalRefreshed,
-    /// Dirty packets skipped by an incremental refresh because their
-    /// event set had not changed.
-    IncrementalSkipped,
     /// Wire frames decoded successfully by the streaming ingest path.
     FramesDecoded,
     /// Wire frames skipped as corrupt (bad magic run, bad checksum,
@@ -132,7 +127,7 @@ pub enum Counter {
 impl Counter {
     /// Every counter, in declaration order (the array layout of
     /// [`AtomicRecorder`]).
-    pub const ALL: [Counter; 40] = [
+    pub const ALL: [Counter; 38] = [
         Counter::CacheHits,
         Counter::CacheMisses,
         Counter::CacheInserts,
@@ -151,8 +146,6 @@ impl Counter {
         Counter::MergeRoundRobin,
         Counter::MergePartitions,
         Counter::IndexedPackets,
-        Counter::IncrementalRefreshed,
-        Counter::IncrementalSkipped,
         Counter::FramesDecoded,
         Counter::FramesCorrupt,
         Counter::StreamRecords,
@@ -199,8 +192,6 @@ impl Counter {
             Counter::MergeRoundRobin => "merge_round_robin",
             Counter::MergePartitions => "merge_partitions",
             Counter::IndexedPackets => "indexed_packets",
-            Counter::IncrementalRefreshed => "incremental_refreshed",
-            Counter::IncrementalSkipped => "incremental_skipped",
             Counter::FramesDecoded => "frames_decoded",
             Counter::FramesCorrupt => "frames_corrupt",
             Counter::StreamRecords => "stream_records",
